@@ -11,10 +11,9 @@
 //! [`MimoLink::channel_matrix`] per bin: the accumulation order per
 //! antenna pair is the same (`acc += tap[d] · e^{-j2πkd/N}` in tap
 //! order, then one amplitude scale), only the twiddle evaluation is
-//! hoisted out of the pair loop. Seeded simulations therefore produce
-//! identical results whether they read the table or recompute — the
-//! property `protocol_invariants::caching_preserves_results_bit_for_bit`
-//! checks end-to-end.
+//! hoisted out of the pair loop, so the engine can read every true
+//! channel from tables — the property the bench crate's `soa_parity`
+//! suite checks on every installed link of generated topologies.
 
 use crate::mimo::MimoLink;
 use nplus_linalg::{CMatrix, CMatrixSoA, Complex64};

@@ -5,13 +5,12 @@
 //! delegates every protocol decision to a
 //! [`MacPolicy`](crate::policy::MacPolicy). Construction precomputes
 //! the round-invariant context (occupied subcarriers, transmitter list,
-//! per-transmitter flow lists) and — unless disabled via
-//! [`SimConfig::cache_channels`] — a [`ChannelCache`] holding every
+//! per-transmitter flow lists) and a [`ChannelCache`] holding every
 //! link's per-subcarrier frequency response, evaluated once instead of
-//! inside the round × stream × subcarrier × interferer loop nest. Only
-//! the **pure true channels** are cached; believed channels keep
-//! drawing hardware error from the RNG in the exact same order, so
-//! seeded runs are bit-for-bit identical with and without the cache.
+//! inside the round × stream × subcarrier × interferer loop nest. The
+//! cache is the engine's only channel path. Only the **pure true
+//! channels** are cached; believed channels draw hardware error from
+//! the RNG on every call.
 //!
 //! Every run is narrated through a
 //! [`RoundObserver`](crate::observer::RoundObserver); the goodput/DoF
@@ -49,7 +48,6 @@ use nplus_phy::rates::{RateIndex, BASE_RATE, RATE_TABLE};
 use nplus_phy::RATE_ESNR_THRESHOLDS_DB;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::borrow::Cow;
 
 /// One planned concurrent stream. Pooled: the slot (and each precoder's
 /// heap buffer) is retained across rounds by the run's [`RoundBufs`].
@@ -364,8 +362,8 @@ fn handshake_symbols(cfg: &SimConfig, streams_per_rx: &[usize], blob_bytes: usiz
 ///
 /// Construction precomputes everything that is invariant across rounds
 /// and policies: occupied subcarriers, the transmitter list, per-node
-/// flow lists, and (by default) the [`ChannelCache`] of every link's
-/// per-subcarrier frequency responses. One engine can then
+/// flow lists, and the [`ChannelCache`] of every link's per-subcarrier
+/// frequency responses. One engine can then
 /// [`run_policy`](SimEngine::run_policy) any number of policies/seeds
 /// against the same topology without re-evaluating channel taps;
 /// [`run`](SimEngine::run) is the enum-era entry point kept for
@@ -384,8 +382,8 @@ pub struct SimEngine<'a> {
     transmitters: Vec<usize>,
     /// Flow indices per scenario node (empty for non-transmitters).
     flows_of: Vec<Vec<usize>>,
-    /// Pure true-channel cache; `None` when disabled for perf baselines.
-    cache: Option<ChannelCache>,
+    /// Pure true-channel cache: every modeled link's per-bin response.
+    cache: ChannelCache,
 }
 
 impl<'a> SimEngine<'a> {
@@ -396,11 +394,7 @@ impl<'a> SimEngine<'a> {
             SinrGrid::Full => (0..occ.len()).collect(),
             SinrGrid::Decimated(k) => (0..occ.len()).step_by(k.max(1)).collect(),
         };
-        let cache = if cfg.cache_channels {
-            Some(ChannelCache::build(topo, &occ, cfg.ofdm.fft_len))
-        } else {
-            None
-        };
+        let cache = ChannelCache::build(topo, &occ, cfg.ofdm.fft_len);
         SimEngine {
             topo,
             scenario,
@@ -439,10 +433,9 @@ impl<'a> SimEngine<'a> {
         PolicyView::new(self.scenario, &self.flows_of)
     }
 
-    /// True per-subcarrier channel matrix between two scenario nodes —
-    /// served from `cache` when one is active (the engine's own, or a
-    /// run's mobility-rescaled copy), recomputed from the medium
-    /// otherwise (the two are bitwise identical).
+    /// True per-subcarrier channel matrix between two scenario nodes,
+    /// served from `cache` (the engine's own, or a run's
+    /// mobility-rescaled copy).
     ///
     /// `None` is the typed "no such link" answer: in sparse worlds it
     /// means the link sits below the environment's received-power floor,
@@ -450,24 +443,13 @@ impl<'a> SimEngine<'a> {
     /// contribution, no nulling constraint, no flow service — instead of
     /// panicking on a missing cache entry.
     fn true_channel<'c>(
-        &'c self,
-        cache: Option<&'c ChannelCache>,
+        &self,
+        cache: &'c ChannelCache,
         from: usize,
         to: usize,
         k_occ: usize,
-    ) -> Option<Cow<'c, CMatrixSoA>> {
-        match cache {
-            Some(cache) => cache.matrix(from, to, k_occ).map(Cow::Borrowed),
-            None => {
-                let link = self
-                    .topo
-                    .medium
-                    .link(self.topo.nodes[from], self.topo.nodes[to])?;
-                Some(Cow::Owned(CMatrixSoA::from_aos(
-                    &link.channel_matrix(self.occ[k_occ], self.cfg.ofdm.fft_len),
-                )))
-            }
-        }
+    ) -> Option<&'c CMatrixSoA> {
+        cache.matrix(from, to, k_occ)
     }
 
     /// What a transmitter believes the channel is: reciprocity plus
@@ -482,7 +464,7 @@ impl<'a> SimEngine<'a> {
     fn believed_channel_into(
         &self,
         policy: &dyn MacPolicy,
-        cache: Option<&ChannelCache>,
+        cache: &ChannelCache,
         from: usize,
         to: usize,
         k_occ: usize,
@@ -493,11 +475,11 @@ impl<'a> SimEngine<'a> {
             return false;
         };
         if policy.perfect_knowledge() {
-            out.assign_from(&h);
+            out.assign_from(h);
         } else {
             self.cfg
                 .hardware
-                .reciprocal_channel_knowledge_into(&h, rng, out);
+                .reciprocal_channel_knowledge_into(h, rng, out);
         }
         true
     }
@@ -517,7 +499,7 @@ impl<'a> SimEngine<'a> {
     fn plan_opening_single(
         &self,
         policy: &dyn MacPolicy,
-        cache: Option<&ChannelCache>,
+        cache: &ChannelCache,
         tx: usize,
         f: usize,
         n_streams: usize,
@@ -548,7 +530,7 @@ impl<'a> SimEngine<'a> {
         for (e, &k) in self.eval_pos.iter().enumerate() {
             let h = self.true_channel(cache, tx, rx, k)?;
             let own = [OwnReceiverSoARef {
-                channel: &h,
+                channel: h,
                 n_streams,
                 unwanted: &unwanted[e],
             }];
@@ -600,7 +582,7 @@ impl<'a> SimEngine<'a> {
     fn plan_winner(
         &self,
         policy: &dyn MacPolicy,
-        cache: Option<&ChannelCache>,
+        cache: &ChannelCache,
         tx: usize,
         allocation: &[(usize, usize)],
         protected: &mut VecPool<ReceiverState>,
@@ -933,7 +915,7 @@ impl<'a> SimEngine<'a> {
     /// cancel, and returns delivered bits per flow.
     fn settle_round_into(
         &self,
-        cache: Option<&ChannelCache>,
+        cache: &ChannelCache,
         protected: &[ReceiverState],
         streams: &[PlannedStream],
         scratch: &mut Scratch,
@@ -1078,12 +1060,8 @@ impl<'a> SimEngine<'a> {
                 }
             }
             // The mobility-rescaled per-run cache shadows the engine's
-            // pristine one; both are absent only in the no-cache,
-            // no-mobility perf baseline.
-            let cache = match &mobility {
-                Some(m) => Some(&m.cache),
-                None => self.cache.as_ref(),
-            };
+            // pristine one.
+            let cache = mobility.as_ref().map(|m| &m.cache).unwrap_or(&self.cache);
             // Arrivals land before access: who contends this round is
             // decided by the queues as of now. Saturated traffic keeps
             // no queues, draws nothing, and activates everyone — the
@@ -1220,7 +1198,7 @@ impl<'a> SimEngine<'a> {
         &self,
         policy: &dyn MacPolicy,
         round: usize,
-        cache: Option<&ChannelCache>,
+        cache: &ChannelCache,
         active: &[usize],
         traffic: &mut TrafficState,
         scratch: &mut Scratch,
@@ -1416,7 +1394,7 @@ impl<'a> SimEngine<'a> {
         &self,
         policy: &dyn MacPolicy,
         round: usize,
-        cache: Option<&ChannelCache>,
+        cache: &ChannelCache,
         active: &[usize],
         traffic: &mut TrafficState,
         scratch: &mut Scratch,
@@ -1494,7 +1472,7 @@ impl<'a> SimEngine<'a> {
         policy: &dyn MacPolicy,
         primary: usize,
         round: usize,
-        cache: Option<&ChannelCache>,
+        cache: &ChannelCache,
         active: &[usize],
         traffic: &TrafficState,
         scratch: &mut Scratch,
@@ -1779,12 +1757,7 @@ impl MobilityState {
         else {
             return None;
         };
-        let pristine = match &engine.cache {
-            Some(c) => c.clone(),
-            // Mobility rescales tables, so it needs tables: build them
-            // even when `cache_channels` is off for perf baselines.
-            None => ChannelCache::build(engine.topo, &engine.occ, engine.cfg.ofdm.fft_len),
-        };
+        let pristine = engine.cache.clone();
         let origin: Vec<Point> = engine.topo.placements.iter().map(|l| l.pos).collect();
         Some(MobilityState {
             cache: pristine.clone(),
@@ -2306,12 +2279,10 @@ mod tests {
         );
     }
 
-    /// Waypoint mobility perturbs results (channels really change), is
-    /// deterministic in the run seed, and is bitwise independent of the
-    /// engine-level cache toggle — the mobility path builds its own
-    /// tables when the engine has none.
+    /// Waypoint mobility perturbs results (channels really change) and
+    /// is bitwise deterministic in the run seed.
     #[test]
-    fn waypoint_mobility_changes_results_and_ignores_cache_toggle() {
+    fn waypoint_mobility_changes_results_deterministically() {
         let scenario = Scenario::three_pairs();
         let topo = three_pairs_topo(13);
         let rounds = 10;
@@ -2338,14 +2309,7 @@ mod tests {
         let moved_again = SimEngine::new(&topo, &scenario, &move_cfg)
             .run_policy(&NPlus, &mut StdRng::seed_from_u64(6));
         assert_eq!(moved.per_flow_mbps, moved_again.per_flow_mbps);
-        let uncached_cfg = SimConfig {
-            cache_channels: false,
-            ..move_cfg.clone()
-        };
-        let uncached = SimEngine::new(&topo, &scenario, &uncached_cfg)
-            .run_policy(&NPlus, &mut StdRng::seed_from_u64(6));
-        assert_eq!(moved.per_flow_mbps, uncached.per_flow_mbps);
-        assert_eq!(moved.total_mbps.to_bits(), uncached.total_mbps.to_bits());
+        assert_eq!(moved.total_mbps.to_bits(), moved_again.total_mbps.to_bits());
     }
 
     /// In a sparse city world an absent link is a typed miss, not a

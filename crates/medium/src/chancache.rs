@@ -9,8 +9,7 @@
 //! `n²` table a dense `Vec` would allocate. Only the **pure true
 //! channels** are cached — they are deterministic functions of the
 //! drawn taps — while believed channels (hardware error) keep drawing
-//! from the caller's RNG on every lookup, so seeded simulations stay
-//! bit-for-bit identical with and without the cache.
+//! from the caller's RNG on every lookup.
 //!
 //! Lookups are fallible by design: [`ChannelCache::matrix`] returns
 //! `None` for an absent link instead of panicking, and the engine

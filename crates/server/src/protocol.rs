@@ -30,8 +30,9 @@
 //! the default comparison trio, `threads` to `0` (all cores — an
 //! execution detail, never part of the cache key), and the seed list
 //! may be given as `"seeds": [..]` or `"seed_count": n` (meaning seeds
-//! `0..n`), defaulting to `seed_count = 20`. Optional `"traffic"`
-//! (`"saturated"`, `"poisson:<mean>"`, `"bursty:<on>x<off>"`) and
+//! `0..n`, at most `MAX_FRAME / 2` — the most seeds a `"seeds"` list
+//! can spell in one frame), defaulting to `seed_count = 20`. Optional
+//! `"traffic"` (`"saturated"`, `"poisson:<mean>"`, `"bursty:<on>x<off>"`) and
 //! `"mobility"` (`"static"`, `"waypoint:<step>x<epoch>"`) members set
 //! the traffic and mobility models, and an optional `"sinr_grid"`
 //! (`"full"`, `"decimated:<k>"`) member selects the SINR evaluation
@@ -262,6 +263,13 @@ fn parse_sweep(doc: &Json) -> Result<SweepRequest, String> {
             let n = v
                 .as_u64()
                 .ok_or_else(|| "\"seed_count\" must be a non-negative integer".to_string())?;
+            // The most seeds an explicit `"seeds"` list can spell in one
+            // frame (one digit and one comma each); checked before the
+            // seed list is allocated.
+            let max = (MAX_FRAME / 2) as u64;
+            if n > max {
+                return Err(format!("\"seed_count\" {n} exceeds the {max}-seed limit"));
+            }
             (0..n).collect()
         }
         (None, None) => (0..20).collect(),
@@ -517,6 +525,23 @@ mod tests {
         ] {
             let err = parse_request(bad).unwrap_err();
             assert!(!err.is_empty() && !err.contains('\n'), "{bad:?}: {err:?}");
+        }
+    }
+
+    /// A huge `seed_count` is refused before the seed list is
+    /// allocated; the largest count one frame could spell still parses.
+    #[test]
+    fn oversized_seed_counts_are_refused_before_allocating() {
+        let request = |n: u64| {
+            format!(r#"{{"cmd":"sweep","scenario":"three_pairs","rounds":2,"seed_count":{n}}}"#)
+        };
+        let err = parse_request(request(10_000_000_000).as_bytes()).unwrap_err();
+        assert!(err.contains("seed_count") && err.contains("limit"), "{err}");
+        let max = (MAX_FRAME / 2) as u64;
+        assert!(parse_request(request(max + 1).as_bytes()).is_err());
+        match parse_request(request(max).as_bytes()) {
+            Ok(Request::Sweep(req)) => assert_eq!(req.seeds.len() as u64, max),
+            other => panic!("expected a sweep request, got {other:?}"),
         }
     }
 

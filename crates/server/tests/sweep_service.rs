@@ -166,3 +166,31 @@ fn one_connection_can_pipeline_requests_and_errors() {
     drop(stream);
     shutdown(addr, handle);
 }
+
+/// A ~80-byte request naming ten billion seeds is refused with an error
+/// response before anything is allocated for it: the server process
+/// survives (an allocation failure would abort this test binary) and
+/// the same connection still answers `ping`.
+#[test]
+fn huge_seed_count_is_refused_and_the_server_keeps_answering() {
+    let (addr, handle) = start_server();
+    let mut stream = client::connect_retry(&addr.to_string(), std::time::Duration::from_secs(5))
+        .expect("connect");
+
+    let err = client::roundtrip(
+        &mut stream,
+        r#"{"cmd":"sweep","scenario":"three_pairs","rounds":2,"seed_count":10000000000}"#,
+    )
+    .expect("error roundtrip");
+    assert_eq!(err.get("status").and_then(Json::as_str), Some("error"));
+    assert!(err
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap()
+        .contains("seed_count"));
+
+    let pong = client::roundtrip(&mut stream, "{\"cmd\":\"ping\"}").expect("ping");
+    assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+    drop(stream);
+    shutdown(addr, handle);
+}
