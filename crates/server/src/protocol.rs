@@ -93,10 +93,17 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame in a single `write_all` of prefix
+/// and payload, then flushes. Two sends would let Nagle's algorithm
+/// hold the payload until the peer's delayed ACK of the prefix (~40 ms);
+/// the sockets that carry frames also set `TCP_NODELAY` (the server's
+/// connection handler and [`client::connect_retry`]).
+///
+/// [`client::connect_retry`]: crate::client::connect_retry
 ///
 /// # Errors
-/// `InvalidData` for payloads above [`MAX_FRAME`]; otherwise I/O errors.
+/// `InvalidData` for payloads above [`MAX_FRAME`], before any byte is
+/// written; otherwise I/O errors.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME {
         return Err(io::Error::new(
@@ -107,8 +114,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
             ),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -421,6 +430,42 @@ mod tests {
         // Oversized outgoing payloads are refused too.
         let mut sink = Vec::new();
         assert!(write_frame(&mut sink, &vec![0u8; MAX_FRAME + 1]).is_err());
+    }
+
+    /// A `Write` that accepts every byte and counts the `write` calls
+    /// that reach it.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes += buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One frame is one `write` call, whatever its size: a separate
+    /// prefix write would let Nagle's algorithm hold the payload until
+    /// the peer's delayed ACK. An oversized payload writes nothing.
+    #[test]
+    fn each_frame_is_written_in_one_call() {
+        for len in [0, 1024, MAX_FRAME] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &vec![7u8; len]).unwrap();
+            assert_eq!(w.writes, 1, "{len}-byte payload");
+            assert_eq!(w.bytes, 4 + len, "{len}-byte payload");
+        }
+        let mut w = CountingWriter::default();
+        assert!(write_frame(&mut w, &vec![7u8; MAX_FRAME + 1]).is_err());
+        assert_eq!(w.writes, 0, "an oversized frame is refused before writing");
     }
 
     #[test]

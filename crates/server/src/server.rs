@@ -102,6 +102,10 @@ fn handle_connection(
     stop: &Arc<AtomicBool>,
     server_addr: std::net::SocketAddr,
 ) -> io::Result<()> {
+    // Responses leave in one write each (`write_frame`); with Nagle's
+    // algorithm off, the tail segment of a multi-segment frame is not
+    // held back for the client's delayed ACK either.
+    stream.set_nodelay(true)?;
     while let Some(payload) = read_frame(&mut stream)? {
         let response = match parse_request(&payload) {
             Err(msg) => error_response(&msg),
@@ -142,7 +146,10 @@ fn serve_sweep(req: &SweepRequest, cache: &ResultCache) -> crate::json::Json {
     };
     // nplus:allow(DET001): elapsed_ms is honest serving latency — it never feeds the result.
     let started = Instant::now();
-    let served = cache.get_or_compute(canon.key(), || {
+    // Hashes the whole canonical encoding (~16 KB for `city:1024`):
+    // once per request.
+    let key = canon.key();
+    let served = cache.get_or_compute(key, || {
         canon
             .to_spec(req.threads)
             .and_then(|spec| spec.try_run())
@@ -150,7 +157,7 @@ fn serve_sweep(req: &SweepRequest, cache: &ResultCache) -> crate::json::Json {
     });
     match served {
         Ok((stats, cache_hit)) => sweep_response(
-            &canon.key_hex(),
+            &format!("{key:032x}"),
             cache_hit,
             started.elapsed().as_millis() as u64,
             &stats,

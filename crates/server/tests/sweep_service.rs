@@ -194,3 +194,57 @@ fn huge_seed_count_is_refused_and_the_server_keeps_answering() {
     drop(stream);
     shutdown(addr, handle);
 }
+
+/// Sends `request` as one frame in one write and reads the response
+/// frame, without the crate's client, so only the server's transport is
+/// under test.
+fn raw_roundtrip(stream: &mut std::net::TcpStream, request: &str) -> Json {
+    use std::io::{Read, Write};
+    let mut frame = (request.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(request.as_bytes());
+    stream.write_all(&frame).expect("write request frame");
+    let mut prefix = [0u8; 4];
+    stream
+        .read_exact(&mut prefix)
+        .expect("read response prefix");
+    let mut body = vec![0u8; u32::from_be_bytes(prefix) as usize];
+    stream.read_exact(&mut body).expect("read response body");
+    nplus_server::json::parse(std::str::from_utf8(&body).expect("UTF-8 response"))
+        .expect("JSON response")
+}
+
+/// Back-to-back round trips on one connection do not stall in the
+/// transport. A response written as two sends (prefix, then payload)
+/// on a socket with Nagle's algorithm on waits ~40 ms for the client's
+/// delayed ACK, so these 250 exchanges would take ≥ 8.8 s; answered at
+/// once they take a few milliseconds.
+#[test]
+fn sequential_round_trips_do_not_wait_on_delayed_acks() {
+    let (addr, handle) = start_server();
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("TCP_NODELAY");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("read timeout");
+    let sweep = "{\"cmd\":\"sweep\",\"scenario\":\"pairs:2\",\"rounds\":2,\
+                 \"seeds\":[0],\"policies\":[\"dot11n\"],\"threads\":1}";
+    let cold = raw_roundtrip(&mut stream, sweep);
+    assert_eq!(cold.get("cache_hit").and_then(Json::as_bool), Some(false));
+
+    let started = std::time::Instant::now();
+    for _ in 0..200 {
+        let pong = raw_roundtrip(&mut stream, "{\"cmd\":\"ping\"}");
+        assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+    }
+    for _ in 0..50 {
+        let warm = raw_roundtrip(&mut stream, sweep);
+        assert_eq!(warm.get("cache_hit").and_then(Json::as_bool), Some(true));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(2),
+        "250 round trips took {elapsed:?}: the transport is stalling"
+    );
+    drop(stream);
+    shutdown(addr, handle);
+}
