@@ -30,10 +30,6 @@ use nplus_linalg::{CMatrix, CMatrixSoA, Complex64};
 pub struct FreqResponseTable {
     /// One `N_rx × M_tx` matrix per requested bin, in request order.
     matrices: Vec<CMatrixSoA>,
-    /// The FFT bins the table covers, in request order.
-    bins: Vec<usize>,
-    /// FFT grid size the bins index into.
-    n_fft: usize,
 }
 
 impl FreqResponseTable {
@@ -74,11 +70,7 @@ impl FreqResponseTable {
             }
             matrices.push(CMatrixSoA::from_aos(&h));
         }
-        FreqResponseTable {
-            matrices,
-            bins: bins.to_vec(),
-            n_fft,
-        }
+        FreqResponseTable { matrices }
     }
 
     /// The channel matrix of the `pos`-th requested bin (position in the
@@ -93,21 +85,6 @@ impl FreqResponseTable {
         &self.matrices
     }
 
-    /// The FFT bins the table covers, in request order.
-    pub fn bins(&self) -> &[usize] {
-        &self.bins
-    }
-
-    /// Number of bins in the table.
-    pub fn n_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// FFT grid size the bins index into.
-    pub fn n_fft(&self) -> usize {
-        self.n_fft
-    }
-
     /// The same table with every matrix entry scaled by the real
     /// `factor` — the frequency-domain image of rescaling the link
     /// amplitude, used by slow mobility to re-derive the links incident
@@ -115,8 +92,6 @@ impl FreqResponseTable {
     pub fn scaled(&self, factor: f64) -> Self {
         FreqResponseTable {
             matrices: self.matrices.iter().map(|m| m.scale_re(factor)).collect(),
-            bins: self.bins.clone(),
-            n_fft: self.n_fft,
         }
     }
 }
@@ -175,9 +150,6 @@ mod tests {
         let link = MimoLink::flat(2, 2, 1.0);
         let bins = vec![5usize, 1, 40];
         let table = FreqResponseTable::new(&link, &bins, 64);
-        assert_eq!(table.bins(), &[5, 1, 40]);
-        assert_eq!(table.n_bins(), 3);
-        assert_eq!(table.n_fft(), 64);
         assert_eq!(table.matrices().len(), 3);
         assert_eq!(table.matrix(0).shape(), (2, 2));
     }

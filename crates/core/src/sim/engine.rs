@@ -5,12 +5,13 @@
 //! delegates every protocol decision to a
 //! [`MacPolicy`](crate::policy::MacPolicy). Construction precomputes
 //! the round-invariant context (occupied subcarriers, transmitter list,
-//! per-transmitter flow lists) and a [`ChannelCache`] holding every
-//! link's per-subcarrier frequency response, evaluated once instead of
-//! inside the round × stream × subcarrier × interferer loop nest. The
-//! cache is the engine's only channel path. Only the **pure true
-//! channels** are cached; believed channels draw hardware error from
-//! the RNG on every call.
+//! per-transmitter flow lists) and indexes a [`ChannelCache`] over the
+//! topology's links. The cache evaluates each link's per-subcarrier
+//! frequency response at most once, when the link's transmitter first
+//! needs it, instead of inside the round × stream × subcarrier ×
+//! interferer loop nest. The cache is the engine's only channel path.
+//! Only the **pure true channels** are cached; believed channels draw
+//! hardware error from the RNG on every call.
 //!
 //! Every run is narrated through a
 //! [`RoundObserver`](crate::observer::RoundObserver); the goodput/DoF
@@ -361,9 +362,10 @@ fn handshake_symbols(cfg: &SimConfig, streams_per_rx: &[usize], blob_bytes: usiz
 /// The reusable per-topology simulation engine.
 ///
 /// Construction precomputes everything that is invariant across rounds
-/// and policies: occupied subcarriers, the transmitter list, per-node
-/// flow lists, and the [`ChannelCache`] of every link's per-subcarrier
-/// frequency responses. One engine can then
+/// and policies: occupied subcarriers, the transmitter list and per-node
+/// flow lists. It also indexes the [`ChannelCache`], which evaluates a
+/// transmitter's per-subcarrier frequency responses on its first
+/// activity and keeps them. One engine can then
 /// [`run_policy`](SimEngine::run_policy) any number of policies/seeds
 /// against the same topology without re-evaluating channel taps;
 /// [`run`](SimEngine::run) is the enum-era entry point kept for
@@ -382,12 +384,16 @@ pub struct SimEngine<'a> {
     transmitters: Vec<usize>,
     /// Flow indices per scenario node (empty for non-transmitters).
     flows_of: Vec<Vec<usize>>,
-    /// Pure true-channel cache: every modeled link's per-bin response.
-    cache: ChannelCache,
+    /// Pure true-channel cache: every modeled link's per-bin response,
+    /// filled one transmitter row at a time on first use.
+    cache: ChannelCache<'a>,
 }
 
 impl<'a> SimEngine<'a> {
-    /// Builds the engine for one topology/scenario/config triple.
+    /// Builds the engine for one topology/scenario/config triple. No
+    /// channel table is evaluated here: the cache only indexes the
+    /// topology's links and fills a transmitter's out-row on its first
+    /// lookup, so construction costs O(links), not O(links × bins).
     pub fn new(topo: &'a Topology, scenario: &'a Scenario, cfg: &'a SimConfig) -> Self {
         let occ = occupied_subcarrier_indices();
         let eval_pos: Vec<usize> = match cfg.sinr_grid {
@@ -444,7 +450,7 @@ impl<'a> SimEngine<'a> {
     /// panicking on a missing cache entry.
     fn true_channel<'c>(
         &self,
-        cache: &'c ChannelCache,
+        cache: &'c ChannelCache<'_>,
         from: usize,
         to: usize,
         k_occ: usize,
@@ -464,7 +470,7 @@ impl<'a> SimEngine<'a> {
     fn believed_channel_into(
         &self,
         policy: &dyn MacPolicy,
-        cache: &ChannelCache,
+        cache: &ChannelCache<'_>,
         from: usize,
         to: usize,
         k_occ: usize,
@@ -499,7 +505,7 @@ impl<'a> SimEngine<'a> {
     fn plan_opening_single(
         &self,
         policy: &dyn MacPolicy,
-        cache: &ChannelCache,
+        cache: &ChannelCache<'_>,
         tx: usize,
         f: usize,
         n_streams: usize,
@@ -582,7 +588,7 @@ impl<'a> SimEngine<'a> {
     fn plan_winner(
         &self,
         policy: &dyn MacPolicy,
-        cache: &ChannelCache,
+        cache: &ChannelCache<'_>,
         tx: usize,
         allocation: &[(usize, usize)],
         protected: &mut VecPool<ReceiverState>,
@@ -915,7 +921,7 @@ impl<'a> SimEngine<'a> {
     /// cancel, and returns delivered bits per flow.
     fn settle_round_into(
         &self,
-        cache: &ChannelCache,
+        cache: &ChannelCache<'_>,
         protected: &[ReceiverState],
         streams: &[PlannedStream],
         scratch: &mut Scratch,
@@ -1198,7 +1204,7 @@ impl<'a> SimEngine<'a> {
         &self,
         policy: &dyn MacPolicy,
         round: usize,
-        cache: &ChannelCache,
+        cache: &ChannelCache<'_>,
         active: &[usize],
         traffic: &mut TrafficState,
         scratch: &mut Scratch,
@@ -1394,7 +1400,7 @@ impl<'a> SimEngine<'a> {
         &self,
         policy: &dyn MacPolicy,
         round: usize,
-        cache: &ChannelCache,
+        cache: &ChannelCache<'_>,
         active: &[usize],
         traffic: &mut TrafficState,
         scratch: &mut Scratch,
@@ -1472,7 +1478,7 @@ impl<'a> SimEngine<'a> {
         policy: &dyn MacPolicy,
         primary: usize,
         round: usize,
-        cache: &ChannelCache,
+        cache: &ChannelCache<'_>,
         active: &[usize],
         traffic: &TrafficState,
         scratch: &mut Scratch,
@@ -1724,13 +1730,13 @@ fn poisson_draw(mean: f64, rng: &mut StdRng) -> u64 {
 /// Per-run slow-mobility state: a waypoint walker that moves one node
 /// per epoch and incrementally re-derives only the cached links
 /// incident to the mover — the city-scale point of the sparse cache.
-struct MobilityState {
+struct MobilityState<'a> {
     /// The run's working cache: pristine tables rescaled to the current
     /// positions. The engine reads every channel from here.
-    cache: ChannelCache,
-    /// The as-built tables the rescaling is always anchored to, so
-    /// factors never compound across epochs.
-    pristine: ChannelCache,
+    cache: ChannelCache<'a>,
+    /// The engine's own as-built cache, which the rescaling is always
+    /// anchored to, so factors never compound across epochs.
+    pristine: &'a ChannelCache<'a>,
     /// As-built node positions (the factor's `d0` anchor).
     origin: Vec<Point>,
     /// Current node positions.
@@ -1739,7 +1745,7 @@ struct MobilityState {
     epoch_rounds: usize,
 }
 
-impl MobilityState {
+impl<'a> MobilityState<'a> {
     /// Large-scale path-loss exponent the rescaling assumes; amplitude
     /// goes as `d^{-exp/2}`.
     const PATH_LOSS_EXP: f64 = 3.0;
@@ -1749,7 +1755,7 @@ impl MobilityState {
 
     /// `None` unless the run's config asks for waypoint mobility —
     /// static worlds allocate nothing and take the legacy round path.
-    fn new_for(engine: &SimEngine<'_>) -> Option<Self> {
+    fn new_for(engine: &'a SimEngine<'_>) -> Option<Self> {
         let MobilityModel::Waypoint {
             step_m,
             epoch_rounds,
@@ -1757,13 +1763,12 @@ impl MobilityState {
         else {
             return None;
         };
-        let pristine = engine.cache.clone();
         let origin: Vec<Point> = engine.topo.placements.iter().map(|l| l.pos).collect();
         Some(MobilityState {
-            cache: pristine.clone(),
+            cache: engine.cache.clone(),
             positions: origin.clone(),
             origin,
-            pristine,
+            pristine: &engine.cache,
             step_m,
             epoch_rounds,
         })
@@ -1786,27 +1791,22 @@ impl MobilityState {
         let ang = rng.gen::<f64>() * std::f64::consts::TAU;
         self.positions[mover].x += self.step_m * ang.cos();
         self.positions[mover].y += self.step_m * ang.sin();
-        let touched: Vec<(usize, usize)> = self
-            .pristine
+        let pristine = self.pristine;
+        let touched = pristine
             .links()
             .filter(|&(f, t)| f == mover || t == mover)
-            .collect();
-        for (f, t) in touched {
+            .filter_map(|(f, t)| Some((f, t, pristine.table(f, t)?)));
+        for (f, t, table) in touched {
             let d0 = self.origin[f]
                 .distance(&self.origin[t])
                 .max(Self::MIN_DISTANCE_M);
             let d = self.positions[f]
                 .distance(&self.positions[t])
                 .max(Self::MIN_DISTANCE_M);
-            // Pure per-link arithmetic (no RNG), so the HashMap's
-            // iteration order cannot affect results.
+            // Pure per-link arithmetic (no RNG), so the walk order
+            // cannot affect results.
             let factor = (d0 / d).powf(0.5 * Self::PATH_LOSS_EXP);
-            let table = self
-                .pristine
-                .table(f, t)
-                .expect("key came from pristine iteration")
-                .scaled(factor);
-            self.cache.set_table(f, t, table);
+            self.cache.set_table(f, t, table.scaled(factor));
         }
         true
     }
